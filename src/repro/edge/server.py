@@ -450,19 +450,20 @@ class EdgeCacheServer:
         if (key, array) in self._local_blacklist:
             return None
         block_key = (key, array, version)
-        pair = self.block_cache.peek(block_key)
-        if pair is None:
-            if not self._should_promote(key, array):
-                return None
-            try:
-                pair = self.block_cache.get_or_load(
-                    block_key, lambda: self._fetch_block(key, array))
-            except FAILOVER_ERRORS:
-                raise
-            except Exception:
-                # Block fetch/decoding failed for a reason the upstream
-                # may still handle (e.g. exotic codec): forward instead.
-                return None
+        if (self.block_cache.peek(block_key) is None
+                and not self._should_promote(key, array)):
+            return None
+        # A lookup (not a peek) even when the block is there: a reuse is a
+        # hit, which takes the block off the cache's probation segment.
+        try:
+            pair = self.block_cache.get_or_load(
+                block_key, lambda: self._fetch_block(key, array))
+        except FAILOVER_ERRORS:
+            raise
+        except Exception:
+            # Block fetch/decoding failed for a reason the upstream
+            # may still handle (e.g. exotic codec): forward instead.
+            return None
         grid, entry = pair
         if entry.association != "point" or entry.components != 1:
             self._local_blacklist.add((key, array))

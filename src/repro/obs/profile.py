@@ -155,16 +155,24 @@ class SamplingProfiler:
         frames = sys._current_frames()
         collapsed: list[str] = []
         idle = 0
-        for ident, frame in frames.items():
-            if ident == skip_ident:
-                continue
-            stack = _frame_stack(frame, self.depth_limit)
-            if not stack:
-                continue
-            if self.skip_idle and stack.rsplit(";", 1)[-1] in self._IDLE_LEAVES:
-                idle += 1
-                continue
-            collapsed.append(stack)
+        frame = None
+        try:
+            for ident, frame in frames.items():
+                if ident == skip_ident:
+                    continue
+                stack = _frame_stack(frame, self.depth_limit)
+                if not stack:
+                    continue
+                if self.skip_idle and stack.rsplit(";", 1)[-1] in self._IDLE_LEAVES:
+                    idle += 1
+                    continue
+                collapsed.append(stack)
+        finally:
+            # ``frames`` holds this very frame, whose locals hold ``frames``:
+            # a reference cycle that would keep every sampled frame, and so
+            # every local of every sampled thread, alive until the cyclic
+            # GC next runs.
+            del frames, frame
         with self._lock:
             self._samples += 1
             self._idle_samples += idle

@@ -5,7 +5,9 @@ contours ... on the screen" (Sec. III).  This package is the offline
 equivalent: a perspective camera, a NumPy z-buffer rasterizer with
 Lambert shading, and a :class:`~repro.render.scene.Scene` that renders
 :class:`~repro.grid.polydata.PolyData` to images (written out via
-:func:`repro.io.ppm.write_ppm`).
+:func:`repro.io.ppm.write_ppm`).  Triangles and line segments are drawn
+in batched array passes, with no per-item Python loop; the images are
+byte-identical to drawing the items one by one in order.
 """
 
 from repro.render.camera import Camera

@@ -102,22 +102,32 @@ class Scene:
 
     @staticmethod
     def _draw_lines(fb: Framebuffer, camera: Camera, pd: PolyData, color) -> None:
+        """Draw every segment in ``color``, ignoring (and zeroing) depth.
+
+        Each segment is sampled at ``n = int(max(|dx|, |dy|)) + 1`` evenly
+        spaced points from its start to its end, as ``np.linspace(0, 1, n)``
+        spaces them, and the samples of all segments are rounded to pixels
+        in one pass.  Segments with an end at or behind the near plane are
+        skipped.
+        """
         segs = pd.segments()
         if not len(segs):
             return
-        pts = pd.points
-        xy, depth = camera.project(pts, fb.width, fb.height)
-        col = np.asarray(color, dtype=np.float64)
-        for a, b in segs:
-            if depth[a] <= camera.near or depth[b] <= camera.near:
-                continue
-            n = int(max(abs(xy[b, 0] - xy[a, 0]), abs(xy[b, 1] - xy[a, 1]))) + 1
-            ts = np.linspace(0.0, 1.0, n)
-            px = np.round(xy[a, 0] + ts * (xy[b, 0] - xy[a, 0])).astype(int)
-            py = np.round(xy[a, 1] + ts * (xy[b, 1] - xy[a, 1])).astype(int)
-            ok = (px >= 0) & (px < fb.width) & (py >= 0) & (py < fb.height)
-            fb.color[py[ok], px[ok]] = col
-            fb.depth[py[ok], px[ok]] = 0.0
+        xy, depth = camera.project(pd.points, fb.width, fb.height)
+        near = camera.near
+        segs = segs[(depth[segs[:, 0]] > near) & (depth[segs[:, 1]] > near)]
+        start = xy[segs[:, 0]]
+        delta = xy[segs[:, 1]] - start
+        n = np.maximum(np.abs(delta[:, 0]), np.abs(delta[:, 1])).astype(np.int64) + 1
+        seg = np.repeat(np.arange(len(segs)), n)
+        i = np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)
+        ts = i * (1.0 / np.maximum(n - 1, 1))[seg]
+        ts[(i == n[seg] - 1) & (i > 0)] = 1.0  # linspace pins the endpoint
+        px = np.round(start[seg, 0] + ts * delta[seg, 0]).astype(int)
+        py = np.round(start[seg, 1] + ts * delta[seg, 1]).astype(int)
+        ok = (px >= 0) & (px < fb.width) & (py >= 0) & (py < fb.height)
+        fb.color[py[ok], px[ok]] = np.asarray(color, dtype=np.float64)
+        fb.depth[py[ok], px[ok]] = 0.0
 
 
 class RenderSink(Sink):

@@ -9,7 +9,8 @@ module is that lever for the NDP server:
 
 * :class:`ArrayCache` holds decoded ``(grid, entry)`` pairs keyed by
   ``(key, array, store version)`` so repeated pre-filters over one array
-  skip the read + decompress phases entirely,
+  skip the read + decompress phases entirely (new arrays wait in a
+  probation segment, so a one-pass sweep cannot flush reused ones),
 * :class:`SelectionCache` holds fully encoded pre-filter replies keyed by
   the complete request tuple, so *identical* requests skip the filter
   scan too.
@@ -121,7 +122,7 @@ class SingleFlightCache:
         with self._lock:
             if key in self._entries:
                 value, _ = self._entries[key]
-                self._entries.move_to_end(key)
+                self._touch(key)
                 self.stats.record("hits")
                 self.tracer.add_event("cache.hit", cache=self.name)
                 self.recorder.record("cache.hit", cache=self.name)
@@ -166,15 +167,31 @@ class SingleFlightCache:
         nbytes = max(0, int(self._sizeof(value)))
         if nbytes > self.max_bytes:
             return  # would evict everything and still not fit: don't cache
-        if key in self._entries:
-            _, old = self._entries.pop(key)
-            self._current_bytes -= old
-        while self._entries and self._current_bytes + nbytes > self.max_bytes:
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self._current_bytes -= evicted
-            self.stats.record("evictions")
+        self._remove(key)
+        self._make_room(nbytes)
         self._entries[key] = (value, nbytes)
         self._current_bytes += nbytes
+
+    # The hooks below run with the lock held.
+    def _touch(self, key: Hashable) -> None:
+        """A hit on ``key``: it becomes the most recently used entry."""
+        self._entries.move_to_end(key)
+
+    def _make_room(self, nbytes: int) -> None:
+        """Evict least recently used entries until ``nbytes`` more fit."""
+        while self._entries and self._current_bytes + nbytes > self.max_bytes:
+            self._evict(next(iter(self._entries)))
+
+    def _evict(self, key: Hashable) -> None:
+        self._remove(key)
+        self.stats.record("evictions")
+
+    def _remove(self, key: Hashable) -> bool:
+        """Drop ``key`` without counting an eviction; whether it was present."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._current_bytes -= entry[1]
+        return entry is not None
 
     # ------------------------------------------------------------------
     def peek(self, key: Hashable) -> Any | None:
@@ -186,15 +203,12 @@ class SingleFlightCache:
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was present."""
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._current_bytes -= entry[1]
-        return entry is not None
+            return self._remove(key)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0
+            for key in list(self._entries):
+                self._remove(key)
 
     @property
     def current_bytes(self) -> int:
@@ -232,17 +246,65 @@ def _array_sizeof(value: Any) -> int:
     return int(raw) if raw else _generic_sizeof(value)
 
 
+#: An :class:`ArrayCache` admits new entries to a probation segment of at
+#: most ``max_bytes // PROBATION_SHARE`` bytes.
+PROBATION_SHARE = 8
+
+
 class ArrayCache(SingleFlightCache):
     """LRU over decoded array blocks: ``(key, array, version) -> (grid, entry)``.
 
     A hit skips the object read *and* the decompress, which is why the
     NDP server only charges those Testbed phases inside the loader.
+
+    The cache is scan-resistant.  A newly loaded array enters a probation
+    segment of at most ``max_bytes // PROBATION_SHARE`` bytes (it always
+    admits the newest entry, however large) and leaves it on its first
+    hit.  Probation evicts its own least recently loaded entries first,
+    so a one-pass sweep over arrays that are never read twice, such as a
+    movie that renders each timestep once, occupies at most that share of
+    the budget instead of flushing the arrays that are being reused.
     """
 
     def __init__(self, max_bytes: int, name: str = "array_cache", tracer=None,
                  recorder=None):
         super().__init__(max_bytes, sizeof=_array_sizeof, name=name,
                          tracer=tracer, recorder=recorder)
+        self.probation_max_bytes = self.max_bytes // PROBATION_SHARE
+        #: keys on probation, least recently loaded first -> charged bytes
+        self._probation: OrderedDict[Hashable, int] = OrderedDict()
+        self._probation_bytes = 0
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        super()._store(key, value)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._probation[key] = entry[1]
+            self._probation_bytes += entry[1]
+
+    def _touch(self, key: Hashable) -> None:
+        self._leave_probation(key)
+        super()._touch(key)
+
+    def _make_room(self, nbytes: int) -> None:
+        while (self._probation
+               and self._probation_bytes + nbytes > self.probation_max_bytes):
+            self._evict(next(iter(self._probation)))
+        super()._make_room(nbytes)
+
+    def _remove(self, key: Hashable) -> bool:
+        self._leave_probation(key)
+        return super()._remove(key)
+
+    def _leave_probation(self, key: Hashable) -> None:
+        nbytes = self._probation.pop(key, None)
+        if nbytes is not None:
+            self._probation_bytes -= nbytes
+
+    @property
+    def probation_bytes(self) -> int:
+        with self._lock:
+            return self._probation_bytes
 
 
 class SelectionCache(SingleFlightCache):

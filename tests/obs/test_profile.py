@@ -1,7 +1,9 @@
 """Sampling-profiler tests: lifecycle, collapse format, filtering."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -155,6 +157,46 @@ class TestSampling:
         prof._stacks["mod:fn;mod:leaf"] = 3
         prof._samples = 3
         assert unpack(pack(prof.snapshot())) == prof.snapshot()
+
+
+class TestFrameReferences:
+    def test_sampling_does_not_keep_a_sampled_threads_locals_alive(self):
+        """With the cyclic GC off, a sampled local dies with its frame."""
+
+        class Payload:
+            pass
+
+        ref = []
+        sampled, release, returned, finish = (threading.Event() for _ in range(4))
+
+        def hold():
+            payload = Payload()
+            ref.append(weakref.ref(payload))
+            sampled.set()
+            release.wait(5.0)
+
+        def worker():
+            hold()
+            returned.set()
+            finish.wait(5.0)  # the thread lives on; only hold's frame is gone
+
+        prof = SamplingProfiler(hz=0)
+        gc.collect()
+        gc.disable()
+        try:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            assert sampled.wait(5.0)
+            prof._sample()
+            release.set()
+            assert returned.wait(5.0)
+            assert ref[0]() is None
+        finally:
+            release.set()
+            finish.set()
+            gc.enable()
+        thread.join(5.0)
+        assert prof.snapshot()["samples"] == 1
 
 
 class TestNullProfiler:
